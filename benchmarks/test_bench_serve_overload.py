@@ -41,6 +41,9 @@ DEADLINE_MS = 250.0
 
 def test_bench_serve_overload(save_artifact, save_bench_json):
     farm = DeviceFarm.from_config(FleetConfig(boards=BOARDS))
+    # The harness answers challenges from its own twin, so only served
+    # requests advance the served devices' noise RNGs.
+    twin = DeviceFarm.from_config(FleetConfig(boards=BOARDS))
     service = AuthService(
         farm,
         CRPStore(None),
@@ -50,7 +53,7 @@ def test_bench_serve_overload(save_artifact, save_bench_json):
     with AuthServer(service, max_inflight=MAX_INFLIGHT).start() as server:
         host, port = server.address
         calibration = run_load(
-            host, port, clients=MAX_INFLIGHT, auths_per_client=8, farm=farm
+            host, port, clients=MAX_INFLIGHT, auths_per_client=8, farm=twin
         )
         assert calibration["failures"] == 0, calibration["failure_samples"]
         offered = max(50.0, OVERLOAD_FACTOR * calibration["throughput_rps"])
@@ -61,11 +64,11 @@ def test_bench_serve_overload(save_artifact, save_bench_json):
             offered_rps=offered,
             duration_s=STORM_SECONDS,
             workers=WORKERS,
-            farm=farm,
+            farm=twin,
             deadline_ms=DEADLINE_MS,
         )
         recovery = run_load(
-            host, port, clients=MAX_INFLIGHT, auths_per_client=8, farm=farm
+            host, port, clients=MAX_INFLIGHT, auths_per_client=8, farm=twin
         )
         gate = server.overload_stats()["admission"]
 

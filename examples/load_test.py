@@ -31,6 +31,9 @@ def main() -> None:
     auths = int(sys.argv[2]) if len(sys.argv) > 2 else 10
 
     farm = DeviceFarm.from_config(FleetConfig(boards=4))
+    # Genuine answers come from a twin of the served fleet, so the load
+    # never advances the served devices' noise RNGs.
+    twin = DeviceFarm.from_config(FleetConfig(boards=4))
     service = AuthService(
         farm, CRPStore(None), coalescer=RequestCoalescer(max_batch=64)
     )
@@ -45,7 +48,7 @@ def main() -> None:
         print(f"serving on {host}:{port}; driving {clients} clients "
               f"x {auths} auth rounds ...")
         summary = run_load(
-            host, port, clients=clients, auths_per_client=auths, farm=farm
+            host, port, clients=clients, auths_per_client=auths, farm=twin
         )
         summary["coalescer"] = service.coalescer.stats()
         summary["store"] = service.store.stats()

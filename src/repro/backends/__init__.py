@@ -1,201 +1,18 @@
-"""repro.backends — pluggable compute backends for the dense kernels.
+"""repro.backends — the dense kernels under every numerical hot path.
 
-ROADMAP item 3: every hot path of the reproduction — response sweeps,
-batch enrollment, the serve coalescer dispatch, fleet-shard statistics —
-reduces to a handful of dense kernels.  This package factors those
-kernels behind the :class:`~repro.backends.base.Backend` protocol and
-lets callers pick an implementation:
-
-* ``numpy`` (default) — the reference kernels, **byte-identity pinned**:
-  selecting it changes no output anywhere.
-* ``numpy-float32`` — opt-in single precision, tolerance-bounded.
-* ``tiled`` — cache-blocked / threaded kernels with algorithmic
-  reformulations of the sweep and leave-one-out solves (~1.9x on the
-  response-sweep kernel at fleet scale); tolerance-bounded.
-* ``numba`` — the tiled backend with JIT row-sum kernels; available only
-  when the optional ``numba`` package is importable.
-
-Selection precedence (highest wins):
-
-1. an explicit programmatic override — :func:`set_backend` or the
-   :func:`use_backend` context manager;
-2. the ``ROPUF_BACKEND`` environment variable (a backend name, or a
-   :class:`~repro.backends.base.BackendConfig` JSON document for tuned
-   tile/thread settings) — how the ``--backend`` CLI flag propagates,
-   including into pipeline worker processes;
-3. the default, ``numpy``.
-
-The core engines call :func:`current_backend` at each kernel dispatch, so
-a selection change (env var or override) takes effect immediately and
-per-process.  Kernel calls record ``backend.<name>.*`` obs counters when
-metrics are enabled.  See ``docs/backends.md`` for the full contract.
+Response sweeps, batch enrollment, the serve coalescer dispatch and the
+fleet-shard statistics all reduce to six masked-sum kernels.  They live
+on :class:`~repro.backends.numpy_backend.NumpyBackend`, and the core
+engines call them through the one module-level instance, :data:`kernels`.
+Every kernel is bit-identical to the code it was factored out of; see
+``docs/pipeline.md`` for the kernel table.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Callable
-
-from .base import Backend, BackendConfig
-from .float32_backend import Float32Backend
 from .numpy_backend import NumpyBackend, exact_masked_row_sums
-from .tiled_backend import HAVE_NUMBA, NumbaBackend, TiledBackend
 
-__all__ = [
-    "Backend",
-    "BackendConfig",
-    "NumpyBackend",
-    "Float32Backend",
-    "TiledBackend",
-    "NumbaBackend",
-    "HAVE_NUMBA",
-    "DEFAULT_BACKEND",
-    "BACKEND_ENV_VAR",
-    "available_backends",
-    "register_backend",
-    "resolve_backend",
-    "current_backend",
-    "set_backend",
-    "use_backend",
-    "exact_masked_row_sums",
-]
+__all__ = ["NumpyBackend", "exact_masked_row_sums", "kernels"]
 
-#: The backend used when nothing selects otherwise (byte-identity pinned).
-DEFAULT_BACKEND = "numpy"
-
-#: Environment variable consulted by :func:`current_backend` (a backend
-#: name or a :class:`BackendConfig` JSON document).
-BACKEND_ENV_VAR = "ROPUF_BACKEND"
-
-
-_FACTORIES: dict[str, Callable[[BackendConfig], Backend]] = {
-    "numpy": lambda config: NumpyBackend(),
-    "numpy-float32": lambda config: Float32Backend(),
-    "tiled": lambda config: TiledBackend(
-        tile_rows=config.tile_rows, threads=config.threads
-    ),
-    "numba": lambda config: NumbaBackend(
-        tile_rows=config.tile_rows, threads=config.threads
-    ),
-}
-
-#: Resolved instances, keyed by the canonical config JSON that built them.
-_INSTANCES: dict[str, Backend] = {}
-
-#: The programmatic override (highest selection precedence), or ``None``.
-_OVERRIDE: Backend | None = None
-
-
-def register_backend(
-    name: str, factory: Callable[[BackendConfig], Backend]
-) -> None:
-    """Register a backend factory under ``name``.
-
-    Extension hook for out-of-tree backends (a GPU library, a hardware
-    bridge).  The factory receives the resolved :class:`BackendConfig`.
-
-    Raises:
-        ValueError: if the name is already taken.
-    """
-    if name in _FACTORIES:
-        raise ValueError(f"backend {name!r} is already registered")
-    _FACTORIES[name] = factory
-
-
-def available_backends() -> list[str]:
-    """Registered backend names usable in this environment.
-
-    ``numba`` is listed only when the numba package is importable.
-    """
-    names = [name for name in _FACTORIES if name != "numba" or HAVE_NUMBA]
-    return sorted(names)
-
-
-def resolve_backend(
-    selection: str | BackendConfig | Backend | None,
-) -> Backend:
-    """Resolve a selection to a live backend instance (cached per config).
-
-    Accepts a backend name, a :class:`BackendConfig`, a JSON-encoded
-    config document (the env-var form), an already-built :class:`Backend`
-    (returned as-is), or ``None`` (the default backend).
-
-    Raises:
-        ValueError: for unknown names, listing what is available.
-    """
-    if selection is None:
-        selection = DEFAULT_BACKEND
-    if isinstance(selection, Backend):
-        return selection
-    if isinstance(selection, str):
-        text = selection.strip()
-        if text.startswith("{"):
-            config = BackendConfig.from_json(text)
-        else:
-            config = BackendConfig(name=text or DEFAULT_BACKEND)
-    else:
-        config = selection
-    if config.name not in _FACTORIES or (
-        config.name == "numba" and not HAVE_NUMBA
-    ):
-        raise ValueError(
-            f"unknown backend {config.name!r}; available: "
-            + ", ".join(available_backends())
-            + (
-                " (the 'numba' backend needs the optional numba package)"
-                if config.name == "numba" and not HAVE_NUMBA
-                else ""
-            )
-        )
-    key = config.to_json()
-    backend = _INSTANCES.get(key)
-    if backend is None:
-        backend = _FACTORIES[config.name](config)
-        _INSTANCES[key] = backend
-    return backend
-
-
-def current_backend() -> Backend:
-    """The backend the core engines should dispatch through *right now*.
-
-    Precedence: programmatic override (:func:`set_backend` /
-    :func:`use_backend`) > ``ROPUF_BACKEND`` environment variable >
-    ``numpy``.  Cheap enough to call per kernel dispatch (a dict lookup
-    on the warm path), so selection changes apply immediately.
-    """
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    return resolve_backend(os.environ.get(BACKEND_ENV_VAR) or None)
-
-
-def set_backend(
-    selection: str | BackendConfig | Backend | None,
-) -> Backend | None:
-    """Install (or with ``None`` clear) the process-wide override.
-
-    Returns the previous override so callers can restore it.  Note the
-    override is per-process: pipeline *worker* processes consult
-    ``ROPUF_BACKEND`` instead, which the CLI flag sets so workers inherit
-    the selection through ``fork``/``spawn`` alike.
-    """
-    global _OVERRIDE
-    previous = _OVERRIDE
-    _OVERRIDE = None if selection is None else resolve_backend(selection)
-    return previous
-
-
-@contextmanager
-def use_backend(selection: str | BackendConfig | Backend):
-    """Scoped backend override::
-
-        with use_backend("tiled"):
-            evaluator.response_sweep(ops)
-
-    Restores the previous override on exit (exception-safe).
-    """
-    previous = set_backend(selection)
-    try:
-        yield current_backend()
-    finally:
-        set_backend(previous)
+#: The instance every engine dispatches through.
+kernels = NumpyBackend()

@@ -1,18 +1,21 @@
-"""The default backend: the repo's reference kernels, byte-identity pinned.
+"""The dense kernels every hot path reduces to, byte-identity pinned.
 
 Every kernel here is the *exact* code the core engines ran before the
-backend seam existed — moved, not rewritten — so dispatching through
+kernels were factored out — moved, not rewritten — so dispatching through
 :class:`NumpyBackend` changes nothing about any output: the draw-order
 golden tests, the batch-vs-scalar selector pins, and the sharded==dense
-fleet oracles all hold bit-for-bit.  The other backends subclass this one,
-inheriting exactness for every kernel they do not override.
+fleet oracles all hold bit-for-bit.
+
+Every kernel invocation records ``backend.numpy.calls`` and a per-kernel
+``backend.numpy.<kernel>.elements`` counter when :mod:`repro.obs` metrics
+are enabled (no-ops otherwise).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import Backend
+from .. import obs
 
 __all__ = ["NumpyBackend", "exact_masked_row_sums", "_SEQUENTIAL_SUM_WIDTH"]
 
@@ -30,7 +33,7 @@ def exact_masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     vectorized, as left-packed zero-padded rows (sequential-summation
     regime, where trailing zeros are exact no-ops); wider rows fall back to
     a per-row ``np.sum`` over the compressed values.  Inputs must already
-    be validated/cast (see :meth:`Backend._validate_masked`).
+    be validated/cast (see :meth:`NumpyBackend._validate_masked`).
     """
     counts = mask.sum(axis=1)
     sums = np.zeros(len(values), dtype=float)
@@ -54,26 +57,30 @@ def exact_masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return sums
 
 
-class NumpyBackend(Backend):
-    """Reference kernels; see the module docstring for the exactness pin."""
+class NumpyBackend:
+    """The six exact kernels; see the module docstring for the pin."""
 
-    name = "numpy"
-    exact = True
-    DELAY_RTOL = 0.0
-    DELAY_ATOL = 0.0
-
-    def masked_row_sums(self, values, mask):
+    def masked_row_sums(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """``np.sum(values[p, mask[p]])`` for every row ``p`` (batch selectors)."""
         values, mask = self._validate_masked(values, mask)
         self._count("masked_row_sums", values.size)
         return exact_masked_row_sums(values, mask)
 
-    def pair_delay_sums(self, rows, masks):
+    def pair_delay_sums(self, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """Row-wise masked sums: one operating point, or a coalesced batch."""
         self._count("pair_delay_sums", rows.size)
         return np.einsum("ps,ps->p", rows, masks)
 
     def sweep_pair_delay_sums(
-        self, stacked, top_rings, bottom_rings, top_masks, bottom_masks
-    ):
+        self,
+        stacked: np.ndarray,
+        top_rings: np.ndarray,
+        bottom_rings: np.ndarray,
+        top_masks: np.ndarray,
+        bottom_masks: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(top, bottom) delay sums, each ``(op, pair)``, over an
+        ``(op, ring, stage)`` sweep (the response-sweep kernel)."""
         self._count("sweep_pair_delay_sums", stacked.shape[0] * top_masks.size)
         top = np.einsum("ops,ps->op", stacked[:, top_rings, :], top_masks)
         bottom = np.einsum(
@@ -81,7 +88,17 @@ class NumpyBackend(Backend):
         )
         return top, bottom
 
-    def loo_delay_matrix(self, selected, bypass, config_masks):
+    def loo_delay_matrix(
+        self,
+        selected: np.ndarray,
+        bypass: np.ndarray,
+        config_masks: np.ndarray,
+    ) -> np.ndarray:
+        """``(ring, config)`` chain delays for the leave-one-out solve.
+
+        Entry ``(r, c)`` sums ``selected[r]`` where config ``c`` selects
+        the stage and ``bypass[r]`` elsewhere.
+        """
         self._count("loo_delay_matrix", selected.size * len(config_masks))
         # (ring, 1, stage) vs (1, config, stage) -> (ring, config) delays;
         # each entry is the same stage vector summed along the last axis,
@@ -90,10 +107,31 @@ class NumpyBackend(Backend):
             config_masks[None, :, :], selected[:, None, :], bypass[:, None, :]
         ).sum(axis=2)
 
-    def loo_ddiffs(self, measurements):
+    def loo_ddiffs(self, measurements: np.ndarray) -> np.ndarray:
+        """Per-unit ddiffs: the all-ones column 0 minus each leave-one-out column."""
         self._count("loo_ddiffs", measurements.size)
         return measurements[:, 0:1] - measurements[:, 1:]
 
-    def gram_update(self, gram, x):
+    def gram_update(self, gram: np.ndarray, x: np.ndarray) -> None:
+        """Fold ``x.T @ x`` into ``gram`` in place (integer, exact)."""
         self._count("gram_update", x.size)
         gram += x.T @ x
+
+    @staticmethod
+    def _count(kernel: str, elements: int) -> None:
+        """Record one kernel invocation (no-op while obs metrics are off)."""
+        obs.counter_add("backend.numpy.calls")
+        obs.counter_add(f"backend.numpy.{kernel}.elements", elements)
+
+    @staticmethod
+    def _validate_masked(
+        values: np.ndarray, mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        values = np.asarray(values, dtype=float)
+        mask = np.asarray(mask, dtype=bool)
+        if values.shape != mask.shape or values.ndim != 2:
+            raise ValueError(
+                f"values and mask must be equal-shape 2-D, got {values.shape} "
+                f"and {mask.shape}"
+            )
+        return values, mask

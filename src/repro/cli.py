@@ -73,7 +73,6 @@ the sampling profiler for the server's lifetime
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 __all__ = ["main", "build_parser"]
@@ -350,15 +349,14 @@ def _cmd_serve(args) -> tuple[str, int]:
         profiler = obs.SamplingProfiler()
         profiler.start()
 
-    farm = DeviceFarm.from_config(
-        FleetConfig(
-            boards=args.boards,
-            ro_count=args.ro_count,
-            stage_count=args.stages,
-            method=args.fleet_method,
-            seed=args.seed,
-        )
+    fleet = FleetConfig(
+        boards=args.boards,
+        ro_count=args.ro_count,
+        stage_count=args.stages,
+        method=args.fleet_method,
+        seed=args.seed,
     )
+    farm = DeviceFarm.from_config(fleet)
     service = AuthService(
         farm,
         CRPStore(args.store),
@@ -388,6 +386,10 @@ def _cmd_serve(args) -> tuple[str, int]:
         if args.bench:
             server.start()
             host, port = server.address
+            # The harness answers challenges from its own twin: computing
+            # answers on the served farm would advance the served devices'
+            # noise RNGs off the coalescer's dispatcher thread.
+            twin = DeviceFarm.from_config(fleet)
             try:
                 if args.open_loop:
                     summary = run_overload(
@@ -396,7 +398,7 @@ def _cmd_serve(args) -> tuple[str, int]:
                         offered_rps=args.offered_rps,
                         duration_s=args.duration,
                         workers=args.clients,
-                        farm=farm,
+                        farm=twin,
                         deadline_ms=args.deadline_ms,
                     )
                 else:
@@ -405,7 +407,7 @@ def _cmd_serve(args) -> tuple[str, int]:
                         port,
                         clients=args.clients,
                         auths_per_client=args.auths,
-                        farm=farm,
+                        farm=twin,
                     )
                 summary["enrollment"] = {
                     "enrolled": len(enrollment["enrolled"]),
@@ -744,13 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="inject seeded worker-crash/hang/cache-corruption chaos "
             "(all command)",
         )
-        sub.add_argument(
-            "--backend",
-            default=None,
-            metavar="NAME",
-            help="compute backend for the dense kernels (numpy, "
-            "numpy-float32, tiled; see docs/backends.md)",
-        )
 
     trace = subparsers.add_parser(
         "trace", help="inspect trace files written by 'all --trace'"
@@ -932,12 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the --bench summary JSON to this path",
     )
     serve.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="compute backend for coalesced dispatch (docs/backends.md)",
-    )
-    serve.add_argument(
         "--metrics-port",
         type=int,
         default=None,
@@ -1084,12 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the summary JSON to this path",
     )
     fleet.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="compute backend for the shard statistics (docs/backends.md)",
-    )
-    fleet.add_argument(
         "--shard-dir",
         default=None,
         metavar="PATH",
@@ -1124,14 +1107,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        from .backends import resolve_backend
-
-        resolve_backend(backend)  # fail fast on unknown names
-        # Through the environment (not set_backend) so pipeline worker
-        # processes inherit the selection under fork and spawn alike.
-        os.environ["ROPUF_BACKEND"] = backend
     handler = {**_COMMANDS, **_TOOL_COMMANDS}[args.command]
     outcome = handler(args)
     if isinstance(outcome, tuple):

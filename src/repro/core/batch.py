@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from .. import obs
-from ..backends import current_backend
+from ..backends import kernels
 from ..variation.environment import OperatingPoint
 from ..variation.noise import MeasurementNoise, NoiselessMeasurement
 from .pairing import RingAllocation
@@ -181,11 +181,8 @@ class BatchEvaluator:
         """(top, bottom) configured-ring delay sums, each ``(pair_count,)``."""
         rings = self._ring_delays(op)
         compiled = self.compiled
-        backend = current_backend()
-        top = backend.pair_delay_sums(
-            rings[compiled.top_rings], compiled.top_masks
-        )
-        bottom = backend.pair_delay_sums(
+        top = kernels.pair_delay_sums(rings[compiled.top_rings], compiled.top_masks)
+        bottom = kernels.pair_delay_sums(
             rings[compiled.bottom_rings], compiled.bottom_masks
         )
         return top, bottom
@@ -222,7 +219,7 @@ class BatchEvaluator:
             raise ValueError("no operating points supplied")
         stacked = np.stack([self._ring_delays(op) for op in ops])
         compiled = self.compiled
-        return current_backend().sweep_pair_delay_sums(
+        return kernels.sweep_pair_delay_sums(
             stacked,
             compiled.top_rings,
             compiled.bottom_rings,
@@ -402,7 +399,7 @@ def coalesce_pair_delays(
         masks = np.concatenate(
             [r.top_masks for r in group] + [r.bottom_masks for r in group]
         )
-        sums = current_backend().pair_delay_sums(rows, masks)
+        sums = kernels.pair_delay_sums(rows, masks)
         top_total = sum(r.pair_count for r in group)
         tops, bottoms = sums[:top_total], sums[top_total:]
         offset = 0

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..backends import current_backend
+from ..backends import kernels
 from ..variation.environment import NOMINAL_OPERATING_POINT, OperatingPoint
 from ..variation.noise import GaussianNoise, MeasurementNoise
 from .config_vector import ConfigVector
@@ -332,11 +332,9 @@ def measure_ddiffs_leave_one_out_batch(
         unit_indices = np.stack([ring.unit_indices for ring in rings])
         selected = chip.selected_path_delays(op)[unit_indices]
         bypass = chip.mux_bypass_delays(op)[unit_indices]
-        # (ring, config) true delays through the active compute backend; the
-        # default numpy backend keeps this bit-identical to the per-call
+        # (ring, config) true delays, bit-identical to the per-call
         # ConfigurableRO.chain_delay.
-        backend = current_backend()
-        true_delays = backend.loo_delay_matrix(selected, bypass, config_masks)
+        true_delays = kernels.loo_delay_matrix(selected, bypass, config_masks)
         obs.counter_add(
             f"noise.elements.{ENROLL_DRAW_ORDER}",
             true_delays.size * measurer.repeats,
@@ -344,7 +342,7 @@ def measure_ddiffs_leave_one_out_batch(
         measurements = measurer.noise.observe_averaged(
             true_delays, measurer.rng, measurer.repeats
         )
-        ddiffs = backend.loo_ddiffs(measurements)
+        ddiffs = kernels.loo_ddiffs(measurements)
     return BatchDdiffEstimate(
         ddiffs=ddiffs, configs=configs, measurements=measurements
     )

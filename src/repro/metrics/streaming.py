@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..backends import current_backend
+from ..backends import kernels
 
 __all__ = [
     "StreamingUniqueness",
@@ -136,8 +136,8 @@ class StreamingUniqueness:
         x = bits.astype(np.int64)
         self.rows += bits.shape[0]
         self.column_ones += x.sum(axis=0)
-        # Integer-exact on every backend (the statistics must stay exact).
-        current_backend().gram_update(self.gram, x)
+        # Integer arithmetic: the statistics stay exact.
+        kernels.gram_update(self.gram, x)
 
     def merge(self, other: "StreamingUniqueness") -> None:
         """Fold another accumulator in (commutative, exact)."""

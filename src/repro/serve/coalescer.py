@@ -50,7 +50,6 @@ from contextlib import nullcontext
 import numpy as np
 
 from .. import obs
-from ..backends import current_backend
 from ..core.batch import BatchEvaluator, coalesce_responses
 from ..variation.environment import OperatingPoint
 from .admission import Deadline, DeadlineExceeded
@@ -375,7 +374,7 @@ class RequestCoalescer:
             member_ids = sorted(
                 {job.request_id for job in ready if job.request_id}
             )
-            attrs = {"batch": len(ready), "backend": current_backend().name}
+            attrs = {"batch": len(ready)}
             if member_ids:
                 attrs["request_ids"] = member_ids
             context = (

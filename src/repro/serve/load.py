@@ -172,6 +172,10 @@ def run_load(
         auths_per_client: authentication rounds per connection.
         farm: in-process device twins; enables genuine ``challenge``/
             ``auth`` rounds and supplies default device ids and corners.
+            Build it with ``DeviceFarm.from_config`` of the served
+            fleet's config, never pass the served farm itself: computing
+            answers advances a device's noise RNG, which only the
+            server's dispatcher thread may do.
         device_ids / corners: targets to cycle through (derived from
             ``farm`` when omitted).
         timeout: per-request socket timeout.

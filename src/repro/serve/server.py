@@ -39,6 +39,7 @@ backs off and retries on exactly these.
 
 from __future__ import annotations
 
+import socket
 import socketserver
 import threading
 import time
@@ -234,6 +235,9 @@ class AuthServer(socketserver.ThreadingTCPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver's default listen backlog of 5 drops the SYNs of a
+    # connection burst (16 clients at once stall ~1 s on the retransmit).
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(
         self,

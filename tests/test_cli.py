@@ -111,7 +111,6 @@ class TestParser:
             }
         )
         assert options == [
-            "--backend",
             "--backoff",
             "--cache-dir",
             "--chaos",

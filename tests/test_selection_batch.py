@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.backends.numpy_backend import _SEQUENTIAL_SUM_WIDTH
 from repro.core.selection import (
     select_case1,
     select_case2,
@@ -181,3 +182,28 @@ class TestMaskedRowSums:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="equal-shape"):
             masked_row_sums(np.ones((2, 3)), np.ones((3, 2), dtype=bool))
+
+
+@given(
+    values=st.lists(
+        st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+        min_size=_SEQUENTIAL_SUM_WIDTH,
+        max_size=_SEQUENTIAL_SUM_WIDTH,
+    ),
+    scale=st.sampled_from([1.0, 1e-10]),
+)
+@example(values=[1.0, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16], scale=1.0)
+def test_sequential_sum_width_invariant(values, scale):
+    # exact_masked_row_sums rests on this: up to the sequential width, a
+    # left-packed zero-padded row reduced with .sum(axis=1) equals np.sum
+    # of its compressed values.  A numpy change to the summation regime
+    # (or a wider constant) must fail here.
+    values = np.array(values) * scale
+    for width in range(1, _SEQUENTIAL_SUM_WIDTH + 1):
+        # One row per selected count 0..width, as the kernel packs them.
+        padded = np.zeros((width + 1, width))
+        for count in range(width + 1):
+            padded[count, :count] = values[:count]
+        sums = padded.sum(axis=1)
+        for count in range(width + 1):
+            assert sums[count] == np.sum(values[:count])

@@ -10,6 +10,8 @@ and its exit-code semantics.
 from __future__ import annotations
 
 import json
+import socket
+import time
 
 import pytest
 
@@ -24,6 +26,9 @@ from repro.serve import (
     percentiles,
     run_load,
 )
+from repro.serve.protocol import read_frame, write_frame
+from repro.variation.environment import NOMINAL_OPERATING_POINT
+from repro.variation.noise import GaussianNoise
 
 
 class TestPercentiles:
@@ -44,12 +49,13 @@ class TestPercentiles:
 class TestRunLoad:
     def test_small_load_zero_failures(self):
         farm = DeviceFarm.from_config(FleetConfig(boards=2))
+        twin = DeviceFarm.from_config(FleetConfig(boards=2))
         service = AuthService(farm, CRPStore(None))
         service.enroll_fleet()
         with AuthServer(service).start() as server:
             host, port = server.address
             summary = run_load(
-                host, port, clients=8, auths_per_client=3, farm=farm
+                host, port, clients=8, auths_per_client=3, farm=twin
             )
         assert summary["failures"] == 0, summary["failure_samples"]
         assert summary["requests"] == 24
@@ -72,6 +78,7 @@ class TestRunLoad:
         from repro.obs.quantiles import DEFAULT_RELATIVE_ACCURACY
 
         farm = DeviceFarm.from_config(FleetConfig(boards=2))
+        twin = DeviceFarm.from_config(FleetConfig(boards=2))
         service = AuthService(farm, CRPStore(None))
         service.enroll_fleet()
         with AuthServer(service).start() as server:
@@ -81,7 +88,7 @@ class TestRunLoad:
                 port,
                 clients=8,
                 auths_per_client=6,
-                farm=farm,
+                farm=twin,
                 record_raw=True,
             )
         raw = summary["raw_latencies_ms"]
@@ -121,19 +128,53 @@ class TestRunLoad:
         # The acceptance gate: >= 100 concurrent clients, every request
         # must authenticate, and the coalescer must have batched.
         farm = DeviceFarm.from_config(FleetConfig(boards=4))
+        twin = DeviceFarm.from_config(FleetConfig(boards=4))
         coalescer = RequestCoalescer(max_batch=64, max_wait_s=0.002)
         service = AuthService(farm, CRPStore(None), coalescer=coalescer)
         service.enroll_fleet()
         with AuthServer(service).start() as server:
             host, port = server.address
             summary = run_load(
-                host, port, clients=100, auths_per_client=5, farm=farm
+                host, port, clients=100, auths_per_client=5, farm=twin
             )
             stats = coalescer.stats()
         assert summary["failures"] == 0, summary["failure_samples"]
         assert summary["requests"] == 500
         assert stats["max_batch"] > 1
         assert stats["batches"] < stats["requests"]
+
+
+class TestListenBacklog:
+    def test_connection_burst_answered_inside_syn_retransmit(self):
+        # 32 clients connecting at once must all complete the handshake.
+        # Past the listen backlog the kernel drops SYNs and each dropped
+        # client waits ~1 s for the retransmit.  Connecting before the
+        # accept loop runs is the worst case: nothing drains the queue.
+        service = AuthService(
+            DeviceFarm([], NOMINAL_OPERATING_POINT), CRPStore(None)
+        )
+        server = AuthServer(service)
+        sockets = []
+        try:
+            for _ in range(32):
+                sock = socket.socket()
+                sock.setblocking(False)
+                sock.connect_ex(server.address)
+                sockets.append(sock)
+            server.start()
+            started = time.perf_counter()
+            for sock in sockets:
+                sock.settimeout(5.0)
+                stream = sock.makefile("rwb")
+                write_frame(stream, {"op": "ping"})
+                assert read_frame(stream)["ok"]
+                stream.close()
+            elapsed = time.perf_counter() - started
+        finally:
+            for sock in sockets:
+                sock.close()
+            server.stop()
+        assert elapsed < 0.5
 
 
 class TestServeCLI:
@@ -179,6 +220,61 @@ class TestServeCLI:
         assert args.fleet_method == "case2"
         assert args.store == "/tmp/crp.jsonl"
         assert args.clients == 7
+
+    def test_bench_leaves_served_rngs_to_the_served_requests(
+        self, monkeypatch, capsys
+    ):
+        # RNG ownership: a served device's noise RNG advances only for the
+        # requests the server answers (on the coalescer's dispatcher
+        # thread), never for the genuine answers the harness computes.
+        # Fleets are made noisy so every evaluation draws; the reference
+        # replays the same load against an identical fleet started from
+        # the same RNG states, answering from a separate twin.
+        build = DeviceFarm.from_config
+
+        def noisy(config=None):
+            farm = build(config)
+            for device in farm:
+                device.evaluator.response_noise = GaussianNoise()
+            return farm
+
+        built = []
+
+        def recording(config=None):
+            farm = noisy(config)
+            states = {
+                device.device_id: device.evaluator.rng.bit_generator.state
+                for device in farm
+            }
+            built.append((farm, states))
+            return farm
+
+        monkeypatch.setattr(DeviceFarm, "from_config", recording)
+        argv = ["serve", "--bench", "--boards", "2", "--clients", "3"]
+        assert main(argv + ["--auths", "6"]) == 0
+        capsys.readouterr()
+        served, initial = built[0]
+
+        reference = noisy(FleetConfig(boards=2))
+        for device in reference:
+            rng = device.evaluator.rng
+            rng.bit_generator.state = initial[device.device_id]
+        service = AuthService(reference, CRPStore(None))
+        service.enroll_fleet()
+        with AuthServer(service).start() as server:
+            summary = run_load(
+                *server.address,
+                clients=3,
+                auths_per_client=6,
+                farm=noisy(FleetConfig(boards=2)),
+            )
+        assert summary["failures"] == 0, summary["failure_samples"]
+        assert "challenge-auth" in summary["verbs"]
+        for device in served:
+            want = reference.device(device.device_id).evaluator.rng
+            assert device.evaluator.rng.bit_generator.state == (
+                want.bit_generator.state
+            ), device.device_id
 
     def test_bench_smoke_exits_zero_with_json_summary(self, capsys):
         code = main(

@@ -40,8 +40,11 @@ def stack():
     )
     service.enroll_fleet()
     server = AuthServer(service, max_inflight=2).start()
+    # The load harness answers from a twin of the served fleet, so only
+    # served requests advance the served devices' noise RNGs.
+    twin = DeviceFarm.from_config(FleetConfig(boards=2))
     try:
-        yield server, service, farm
+        yield server, service, twin
     finally:
         server.stop()
 
@@ -162,7 +165,7 @@ class TestChaosStoreLoss:
                 offered_rps=100.0,
                 duration_s=2.0,
                 workers=4,
-                farm=farm,
+                farm=DeviceFarm.from_config(FleetConfig(boards=2)),
             )
             assert storm["wrong"] == 0
             assert storm["goodput"] > 0  # auth survived the dead disk
