@@ -6,12 +6,16 @@ Each measured run happens in a *subprocess* so ``ru_maxrss`` reflects that
 run alone — the pytest process has already paged in the whole test
 session and its high-water mark would swamp the signal.
 
-Two pins, recorded in ``results/BENCH_fleet.json`` for the CI regression
-gate (``ropuf bench compare --metric memory``):
+Two memory pins, asserted here:
 
 * an absolute peak-RSS ceiling for the full 10^5-device fleet, and
 * a growth bound — 4x the devices must cost well under 4x the memory
   (the dense pairwise-HD approach would scale quadratically).
+
+``results/BENCH_fleet.json`` feeds two CI regression gates against
+``baselines/BENCH_fleet.json``: ``ropuf bench compare --metric memory``
+on peak RSS, and ``--metric throughput --threshold 0.75`` on devices per
+second (loose, because wall time varies across runners).
 """
 
 import json

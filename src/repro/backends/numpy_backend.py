@@ -1,7 +1,9 @@
 """The dense kernels every hot path reduces to, byte-identity pinned.
 
 Every kernel here is the *exact* code the core engines ran before the
-kernels were factored out — moved, not rewritten — so dispatching through
+kernels were factored out — moved, not rewritten, except that
+:meth:`NumpyBackend.gram_update` is an integer ``einsum`` where it was
+``x.T @ x``, the same int64 result — so dispatching through
 :class:`NumpyBackend` changes nothing about any output: the draw-order
 golden tests, the batch-vs-scalar selector pins, and the sharded==dense
 fleet oracles all hold bit-for-bit.
@@ -113,9 +115,14 @@ class NumpyBackend:
         return measurements[:, 0:1] - measurements[:, 1:]
 
     def gram_update(self, gram: np.ndarray, x: np.ndarray) -> None:
-        """Fold ``x.T @ x`` into ``gram`` in place (integer, exact)."""
+        """Fold ``x.T @ x`` into ``gram`` in place (integer, exact).
+
+        Computed as an int64 ``einsum``: numpy runs integer ``@`` as a
+        plain C loop that is ~9x slower, and float64 BLAS would oversubscribe
+        the cores when pool workers run it at once (docs/pipeline.md).
+        """
         self._count("gram_update", x.size)
-        gram += x.T @ x
+        gram += np.einsum("ij,ik->jk", x, x)
 
     @staticmethod
     def _count(kernel: str, elements: int) -> None:

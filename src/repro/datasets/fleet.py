@@ -442,9 +442,14 @@ def generate_shard(spec: FleetSpec, index: int) -> FleetShard:
     relative = 1.0 + offsets[:, None] + systematic + mismatch
     base_delays = process.nominal_delay * relative
 
+    # The reference-corner scale is shared by every corner: evaluate it
+    # once per shard (bit-identical to per-corner evaluation).
+    reference_scale = environment.reference_scale(sensitivities)
     delays: dict[OperatingPoint, np.ndarray] = {}
     for op in spec.corners:
-        true_delays = environment.delays_at(base_delays, sensitivities, op)
+        true_delays = environment.delays_at(
+            base_delays, sensitivities, op, reference_scale
+        )
         noise = rng.normal(0.0, 1.0, size=true_delays.shape)
         delays[op] = true_delays * (1.0 + spec.noise_sigma * noise)
     return FleetShard(spec=spec, index=index, delays=delays)

@@ -14,6 +14,7 @@ __all__ = [
     "hamming_distance",
     "pairwise_hamming_distances",
     "hamming_distance_histogram",
+    "distance_histogram",
 ]
 
 
@@ -69,6 +70,16 @@ def hamming_distance_histogram(
     bits = _as_bit_matrix(bits)
     if max_distance is None:
         max_distance = bits.shape[1]
-    pairwise = pairwise_hamming_distances(bits)
-    counts = np.bincount(pairwise, minlength=max_distance + 1)
+    return distance_histogram(pairwise_hamming_distances(bits), max_distance)
+
+
+def distance_histogram(
+    distances: np.ndarray, max_distance: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram of already-computed pairwise distances.
+
+    Same ``(distances, counts)`` pair as :func:`hamming_distance_histogram`,
+    for callers that also need the distances themselves.
+    """
+    counts = np.bincount(distances, minlength=max_distance + 1)
     return np.arange(max_distance + 1), counts[: max_distance + 1]

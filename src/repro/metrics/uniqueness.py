@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamming import hamming_distance_histogram, pairwise_hamming_distances
+from .hamming import distance_histogram, pairwise_hamming_distances
 
 __all__ = ["UniquenessReport", "uniqueness_report"]
 
@@ -67,8 +67,8 @@ def uniqueness_report(bits: np.ndarray) -> UniquenessReport:
     if bits.ndim != 2 or bits.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least two response rows")
     distances = pairwise_hamming_distances(bits)
-    axis, counts = hamming_distance_histogram(bits)
     bit_count = bits.shape[1]
+    axis, counts = distance_histogram(distances, bit_count)
     mean = float(np.mean(distances))
     return UniquenessReport(
         bit_count=bit_count,

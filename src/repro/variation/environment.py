@@ -196,19 +196,32 @@ class EnvironmentModel:
         thermal = (op.kelvin / self.reference.kelvin) ** sensitivities.mobility_exponent
         return thermal * op.voltage / overdrive**sensitivities.alpha
 
+    def reference_scale(self, sensitivities: DeviceSensitivities) -> np.ndarray:
+        """Unnormalised scale at the reference point, the common denominator.
+
+        Pass it as ``reference_scale`` to :meth:`scale_factors` or
+        :meth:`delays_at` to evaluate it once for a sweep over several
+        corners; the results are bit-identical to omitting it.
+        """
+        return self._raw_scale(sensitivities, self.reference)
+
     def scale_factors(
-        self, sensitivities: DeviceSensitivities, op: OperatingPoint
+        self,
+        sensitivities: DeviceSensitivities,
+        op: OperatingPoint,
+        reference_scale: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-device multiplicative delay factors, 1.0 at the reference."""
-        return self._raw_scale(sensitivities, op) / self._raw_scale(
-            sensitivities, self.reference
-        )
+        if reference_scale is None:
+            reference_scale = self.reference_scale(sensitivities)
+        return self._raw_scale(sensitivities, op) / reference_scale
 
     def delays_at(
         self,
         base_delays: np.ndarray,
         sensitivities: DeviceSensitivities,
         op: OperatingPoint,
+        reference_scale: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-device delays at ``op`` given reference-point base delays."""
         base_delays = np.asarray(base_delays, dtype=float)
@@ -217,4 +230,6 @@ class EnvironmentModel:
                 "base_delays shape "
                 f"{base_delays.shape} != sensitivities shape {sensitivities.shape}"
             )
-        return base_delays * self.scale_factors(sensitivities, op)
+        return base_delays * self.scale_factors(
+            sensitivities, op, reference_scale
+        )

@@ -102,6 +102,11 @@ class TestNumpyBackendBitIdentity:
         )
 
 
+def _reference_gram(x: np.ndarray) -> np.ndarray:
+    """The oracle: numpy's int64 matmul (exact, but a slow C loop)."""
+    return x.T @ x
+
+
 class TestGramUpdate:
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -109,11 +114,31 @@ class TestGramUpdate:
         bits=st.integers(min_value=1, max_value=16),
     )
     def test_gram_update_integer_exact(self, seed, rows, bits):
+        # The streaming accumulators fold shard after shard into one
+        # running Gram: the kernel must add exactly, never overwrite.
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 2, size=(rows, bits)).astype(np.int64)
-        gram = np.zeros((bits, bits), dtype=np.int64)
+        initial = rng.integers(0, 10**6, size=(bits, bits), dtype=np.int64)
+        gram = initial.copy()
         kernels.gram_update(gram, x)
-        assert np.array_equal(gram, x.T @ x)
+        assert gram.dtype == np.int64
+        assert np.array_equal(gram, initial + _reference_gram(x))
+
+    def test_gram_update_all_ones_worst_case(self):
+        # Every product is 1, so every entry reaches its maximum: rows.
+        rows, bits = 4096, 128
+        gram = np.zeros((bits, bits), dtype=np.int64)
+        kernels.gram_update(gram, np.ones((rows, bits), dtype=np.int64))
+        assert np.array_equal(gram, np.full((bits, bits), rows))
+
+    def test_gram_update_at_the_fleet_shard_shape(self):
+        # One fixed example at the fleet benchmark's shard: 4096 devices
+        # x 128 response bits.
+        rng = np.random.default_rng(20140601)
+        x = rng.integers(0, 2, size=(4096, 128)).astype(np.int64)
+        gram = np.zeros((128, 128), dtype=np.int64)
+        kernels.gram_update(gram, x)
+        assert np.array_equal(gram, _reference_gram(x))
 
 
 def _board_puf(method: str = "case1", seed: int = 7):

@@ -96,6 +96,28 @@ class TestUniqueness:
         bits = rng.integers(0, 2, (5, 8)).astype(bool)
         assert uniqueness_report(bits).pair_count == 10
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        rows=st.integers(min_value=2, max_value=40),
+        bit_count=st.integers(min_value=1, max_value=64),
+    )
+    def test_single_pass_matches_the_two_explicit_calls(
+        self, seed, rows, bit_count
+    ):
+        # The report computes the pairwise distances once; its statistics
+        # must equal the separate distance and histogram calls bit for bit.
+        bits = np.random.default_rng(seed).integers(
+            0, 2, (rows, bit_count)
+        ).astype(bool)
+        report = uniqueness_report(bits)
+        distances = pairwise_hamming_distances(bits)
+        axis, counts = hamming_distance_histogram(bits)
+        assert report.mean_distance == float(np.mean(distances))
+        assert report.std_distance == float(np.std(distances))
+        assert np.array_equal(report.histogram_distances, axis)
+        assert np.array_equal(report.histogram_counts, counts)
+        assert report.histogram_counts.dtype == counts.dtype
+
 
 class TestReliability:
     def test_no_flips(self):

@@ -128,6 +128,19 @@ class TestEnvironmentModel:
         delays = self.model.delays_at(base, self.sens, NOMINAL_OPERATING_POINT)
         assert np.allclose(delays, base)
 
+    def test_shared_reference_scale_is_bit_identical(self):
+        base = np.full(100, 500e-12)
+        shared = self.model.reference_scale(self.sens)
+        for op in (
+            NOMINAL_OPERATING_POINT,
+            OperatingPoint(0.98, 25.0),
+            OperatingPoint(1.20, 65.0),
+        ):
+            assert np.array_equal(
+                self.model.delays_at(base, self.sens, op, shared),
+                self.model.delays_at(base, self.sens, op),
+            )
+
     def test_delays_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             self.model.delays_at(np.ones(3), self.sens, NOMINAL_OPERATING_POINT)
